@@ -1,8 +1,8 @@
 """Thin CLI wrapper over the ``solver`` benchmark campaign.
 
-The seven solver-stack scenarios (single-RHS vs block CG, tile cache,
+The solver-stack scenarios (single-RHS vs block CG, tile cache,
 one-vs-all vs shared solve, preconditioning, mixed precision, randomized
-solvers, out-of-core) now live in
+solvers, incremental refit, out-of-core, operator selection) now live in
 :mod:`repro.campaign.solver_scenarios`; the campaign definition —
 problem sizes, ``--quick`` clamps, gate rules — is
 :func:`repro.campaign.presets.solver_campaign`. This script keeps the

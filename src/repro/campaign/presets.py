@@ -51,9 +51,12 @@ def solver_campaign(
     seed: int = 7,
     quick: bool = False,
 ) -> CampaignSpec:
-    """The eight solver-stack scenarios as one campaign."""
+    """The nine solver-stack scenarios as one campaign."""
     if ooc_points is None:
         ooc_points = [2000, 4000, 8000, 16000, 32000]
+    # The dense explicit fits the operator-selection grid compares
+    # against dominate its cost; quick mode stops at m = 2000.
+    opsel_points = [1000, 2000] if quick else [1000, 2000, 4000]
     if quick:
         points = min(points, 600)
         solver_points = min(solver_points, 500)
@@ -116,6 +119,8 @@ def solver_campaign(
                  "params": {"m_values": list(ooc_points), "features": features,
                             "budget_mb": ooc_budget_mb, "shards": ooc_shards,
                             "seed": seed}},
+                {"scenario": "operator_selection",
+                 "params": {"m_values": opsel_points, "seed": seed}},
             ],
         }
     )

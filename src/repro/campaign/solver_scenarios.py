@@ -29,7 +29,7 @@ from ..core.multiclass import OneVsAllLSSVC
 from ..core.precond import make_preconditioner
 from ..core.qmatrix import build_reduced_system
 from ..core.solvers import default_solver_rank
-from ..data.synthetic import make_multiclass
+from ..data.synthetic import make_multiclass, make_planes
 from ..io.binary_format import write_binary_file
 from ..io.chunked import open_chunked
 from ..membudget import memory_budget
@@ -47,6 +47,7 @@ __all__ = [
     "randomized_solvers",
     "out_of_core",
     "incremental_refit",
+    "operator_selection",
 ]
 
 
@@ -492,6 +493,78 @@ def incremental_refit(
     }
 
 
+def operator_selection(
+    kernels: list, m_values: list, features_values: list, reps: int, seed: int
+) -> dict:
+    """The default reduced-system operator vs forced explicit and implicit.
+
+    For every kernel x m x d grid point, ``LSSVC(kernel=k)`` at its
+    defaults is fitted with ``implicit=None`` (the default operator rule),
+    ``implicit=False`` (dense explicit assembly) and ``implicit=True``
+    (matrix-free), ``reps`` times each in rotating order after one
+    untimed warm-up fit, so host-speed drift hits all three alike. The
+    headline is the worst ratio of the default's median fit time to the
+    faster of the two forced operators (the rule must never pick a
+    choice that loses by more than noise), and the worst held-out
+    accuracy gap to the better of the two (it must never lose accuracy).
+    """
+    flags = {"default": None, "explicit": False, "implicit": True}
+    points = []
+    for kernel in kernels:
+        for m in m_values:
+            for d in features_values:
+                m_test = max(m // 4, 50)
+                X, y = make_planes(m + m_test, d, rng=seed)
+                X_train, y_train = X[:m], y[:m]
+                X_test, y_test = X[m:], y[m:]
+                for flag in flags.values():  # untimed warm-up
+                    LSSVC(kernel=kernel, implicit=flag).fit(X_train, y_train)
+                seconds = {name: [] for name in flags}
+                fitted = {}
+                names = list(flags)
+                for rep in range(reps):
+                    for name in names[rep % 3:] + names[: rep % 3]:
+                        sec, fitted[name] = _timed(
+                            lambda flag=flags[name]: LSSVC(
+                                kernel=kernel, implicit=flag
+                            ).fit(X_train, y_train)
+                        )
+                        seconds[name].append(sec)
+                median = {n: float(np.median(t)) for n, t in seconds.items()}
+                accuracy = {
+                    n: float(clf.score(X_test, y_test)) for n, clf in fitted.items()
+                }
+                best_seconds = min(median["explicit"], median["implicit"])
+                best_accuracy = max(accuracy["explicit"], accuracy["implicit"])
+                points.append(
+                    {
+                        "kernel": kernel,
+                        "points": m,
+                        "features": d,
+                        "default_operator": fitted["default"].report_.solver[
+                            "operator"
+                        ],
+                        **{f"{n}_seconds": median[n] for n in flags},
+                        **{f"{n}_accuracy": accuracy[n] for n in flags},
+                        **{
+                            f"{n}_iterations": fitted[n].iterations_
+                            for n in flags
+                        },
+                        "implicit_over_explicit": median["implicit"]
+                        / median["explicit"],
+                        "default_time_ratio": median["default"] / best_seconds,
+                        "default_accuracy_gap": best_accuracy
+                        - accuracy["default"],
+                    }
+                )
+    return {
+        "reps": reps,
+        "points": points,
+        "worst_time_ratio": max(p["default_time_ratio"] for p in points),
+        "worst_accuracy_gap": max(p["default_accuracy_gap"] for p in points),
+    }
+
+
 def _register_builtin_solver_scenarios() -> None:
     common = {"features": 16, "classes": 4, "epsilon": 1e-3, "seed": 7}
     register_scenario(
@@ -635,6 +708,32 @@ def _register_builtin_solver_scenarios() -> None:
                 "points[-1].max_abs_diff",
                 "lower",
                 ceiling=1e-8,
+            ),
+        ),
+        replace=True,
+    )
+    register_scenario(
+        "operator_selection",
+        operator_selection,
+        defaults={
+            "kernels": ["linear", "rbf", "polynomial"],
+            "m_values": [1000, 2000, 4000],
+            "features_values": [4, 64],
+            # Medians of 5 fits still spread by up to 40 % on a shared
+            # 2-core host (the tile sweeps are threaded); 9 keep the
+            # identical default and implicit paths within ~10 %.
+            "reps": 9,
+            "seed": 7,
+        },
+        gate=(
+            # The default operator is at most 1.2x the faster of the two
+            # forced operators at every grid point ...
+            GateRule(
+                "worst_time_ratio", "worst_time_ratio", "lower", ceiling=1.2
+            ),
+            # ... and exactly as accurate as the better one.
+            GateRule(
+                "worst_accuracy_gap", "worst_accuracy_gap", "lower", ceiling=0.0
             ),
         ),
         replace=True,

@@ -236,6 +236,8 @@ class CholeskyKernelOperator(QMatrixBase):
     factorization roundoff.
     """
 
+    operator_name = "cholesky"
+
     def __init__(
         self,
         X: np.ndarray,

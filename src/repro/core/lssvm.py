@@ -52,22 +52,21 @@ def encode_labels(y: np.ndarray) -> Tuple[np.ndarray, Tuple[float, float]]:
 
     Following LIBSVM, the first label encountered in the file/array becomes
     the internal ``+1`` class. Returns ``(encoded, (positive, negative))``.
+    NaN or infinite labels raise :class:`DataError`.
     """
-    y = np.asarray(y).ravel()
+    y = np.asarray(y, dtype=np.float64).ravel()
     if y.size == 0:
         raise DataError("label vector is empty")
-    classes = []
-    for value in y:
-        v = float(value)
-        if v not in classes:
-            classes.append(v)
-        if len(classes) > 2:
-            break
-    if len(classes) != 2:
+    if not np.all(np.isfinite(y)):
+        raise DataError("label vector contains NaN or infinite values")
+    classes = np.unique(y)
+    if classes.size != 2:
         raise DataError(
-            f"binary classification requires exactly two classes, got {len(classes)}"
+            f"binary classification requires exactly two classes, got {classes.size}"
         )
-    pos, neg = classes[0], classes[1]
+    # The first label encountered is y[0] itself; the other class is -1.
+    pos = float(y[0])
+    neg = float(classes[0] if classes[1] == pos else classes[1])
     encoded = np.where(y == pos, 1.0, -1.0)
     return encoded, (pos, neg)
 
@@ -109,8 +108,11 @@ class LSSVC(ParamsMixin):
     dtype:
         Working precision, ``float64`` (default) or ``float32``.
     implicit:
-        Force the matrix-free (``True``) or explicit (``False``) reduced
-        system on the NumPy path; ``None`` selects by problem size.
+        ``False`` builds the dense explicit reduced system on the NumPy
+        path; ``None`` (default) and ``True`` build the matrix-free one
+        (see :func:`repro.core.qmatrix.build_reduced_system`). For
+        :meth:`partial_fit`, ``True`` keeps the incremental engine off its
+        dense Cholesky factor and ``False`` keeps it on at every size.
     solver:
         Solver strategy: ``"cg"`` (exact, the default), ``"nystrom"``
         (direct rank-``r`` Woodbury solve of the RPCholesky-factored
@@ -179,9 +181,10 @@ class LSSVC(ParamsMixin):
         :func:`repro.core.resilience.resilient_solve`).
     memory_budget_mb:
         Hard training-memory budget in MiB. Activates the budget for the
-        duration of :meth:`fit`: the explicit reduced system refuses to
-        materialize past it, operator selection turns matrix-free, and
-        chunked row sources size their streaming blocks against it. The
+        duration of :meth:`fit`: the explicit reduced system
+        (``implicit=False``) refuses to materialize past it, the
+        incremental engine drops its dense factor, and chunked row sources
+        size their streaming blocks against it. The
         realized peak RSS lands in ``report_.peak_rss_bytes``.
     shard_rows:
         Split the reduced system into this many sample row-shards and run
@@ -502,8 +505,11 @@ class LSSVC(ParamsMixin):
                 y_enc, labels = encode_labels(y)
                 if self.solver == "rff":
                     result, info = self._fit_rff(ctx, X, y_enc, labels)
+                    operator = "feature_map"
                 else:
-                    result, info = self._fit_reduced(ctx, X, y_enc, labels)
+                    result, info, operator = self._fit_reduced(
+                        ctx, X, y_enc, labels
+                    )
         # A fresh batch fit restarts any incremental continuation; keep
         # the encoded targets so a later partial_fit can seed its engine
         # from this very model (see partial_fit).
@@ -521,6 +527,7 @@ class LSSVC(ParamsMixin):
             solver_rank=info.rank,
             solver_setup_seconds=info.setup_seconds,
             warm_start_iterations=self._warm_iterations,
+            solver_operator=operator,
         )
         return self
 
@@ -555,8 +562,12 @@ class LSSVC(ParamsMixin):
         )
         return result, info
 
-    def _fit_reduced(self, ctx, X, y_enc, labels) -> Tuple[CGResult, SolverInfo]:
-        """The reduced-system paths: exact CG and the direct Nyström solve."""
+    def _fit_reduced(self, ctx, X, y_enc, labels) -> Tuple[CGResult, SolverInfo, str]:
+        """The reduced-system paths: exact CG and the direct Nyström solve.
+
+        Returns the solver outcome and the ``operator_name`` of the
+        reduced-system operator it ran on.
+        """
         # Backends transform the data into their device layout here
         # (the paper's "transform" component); the plain NumPy path's
         # operator setup is accounted separately as "assembly".
@@ -630,7 +641,7 @@ class LSSVC(ParamsMixin):
         backend = self._resolve_backend()
         if backend is not None:
             backend.finalize(qmat, self.timings_)
-        return result, info
+        return result, info, qmat.operator_name
 
     def _warm_x0(self, n: int, dtype) -> Optional[np.ndarray]:
         """Initial CG guess from the previous model (``warm_start=True``).
@@ -784,6 +795,7 @@ class LSSVC(ParamsMixin):
             timings=self.timings_,
             result=res.result,
             warm_start_iterations=res.warm_start_iterations,
+            solver_operator=res.qmat.operator_name,
         )
         return self
 

@@ -363,6 +363,7 @@ class OneVsAllLSSVC(_MulticlassBase):
                 fmap, W, biases, result, info = fit_rff_primal_multi(
                     X, Y, param, rank=self.solver_rank, rng=self.solver_seed
                 )
+                operator = "feature_map"
                 resolved = param.with_gamma_for(X.shape[1])
                 seed = self.solver_seed if isinstance(self.solver_seed, int) else None
                 for j, _ in enumerate(self.classes_):
@@ -390,6 +391,7 @@ class OneVsAllLSSVC(_MulticlassBase):
                         compute_dtype=self.compute_dtype,
                         shard_rows=self.shard_rows,
                     )
+                operator = qmat.operator_name
                 sample_peak_rss(ctx)
                 B = Y[:-1, :] - Y[-1:, :]  # per-class rhs of Eq. 14
                 if solver == "nystrom":
@@ -461,6 +463,7 @@ class OneVsAllLSSVC(_MulticlassBase):
             solver_rank=info.rank,
             solver_setup_seconds=info.setup_seconds,
             warm_start_iterations=warm_iterations,
+            solver_operator=operator,
         )
         return self
 
@@ -605,6 +608,7 @@ class OneVsAllLSSVC(_MulticlassBase):
             num_features=engine.X.shape[1],
             result=res.result,
             warm_start_iterations=res.warm_start_iterations,
+            solver_operator=res.qmat.operator_name,
         )
         return self
 

@@ -14,15 +14,19 @@ with (Eq. 16)
 
 Two realizations are provided:
 
-* :class:`ExplicitQMatrix` materializes the full matrix — O(m²) memory,
-  used for small problems, tests, and as the ground truth the implicit
-  variant is verified against.
-* :class:`ImplicitQMatrix` is matrix-free (§III-B): each matvec recomputes
-  the kernel entries on the fly. The ``q`` vector ``q_bar[i] = k(x_i, x_m)``
-  is precomputed once (§III-C2, "Caching"), which turns the three kernel
-  evaluations per entry into one. For the linear kernel the matvec
-  collapses into two BLAS-2 products against the data matrix
-  (``X_bar @ (X_bar.T @ v)``), making it O(m d) instead of O(m² d).
+* :class:`ImplicitQMatrix` is matrix-free (§III-B) and the default at
+  every problem size: each matvec recomputes the kernel entries on the
+  fly. The ``q`` vector ``q_bar[i] = k(x_i, x_m)`` is precomputed once
+  (§III-C2, "Caching"), which turns the three kernel evaluations per
+  entry into one. For the linear kernel the matvec collapses into two
+  BLAS-2 products against the data matrix (``X_bar @ (X_bar.T @ v)``),
+  making it O(m d) instead of O(m² d); the non-linear kernels run the
+  tile pipeline, whose cache replays the kernel tiles after the first
+  CG iteration.
+* :class:`ExplicitQMatrix` materializes the full matrix — O(m²) memory
+  and an O(m² d) assembly that CG's few dozen matvecs never pay back.
+  It is built only on request (``implicit=False``), for tests, and as
+  the ground truth the implicit variant is verified against.
 
 Both classes share the rank-one correction algebra
 
@@ -53,9 +57,10 @@ __all__ = [
     "recover_bias_and_alpha",
 ]
 
-#: Materializing Q_tilde above this many training points is refused by
-#: :func:`build_reduced_system`'s automatic mode (the matrix would need
-#: ``(m-1)^2 * 8`` bytes).
+#: Row cap of the incremental engine's dense Cholesky factor
+#: (:class:`repro.core.incremental.IncrementalEngine`): appends are absorbed
+#: by extending the factor of the ``(m-1) x (m-1)`` kernel block up to this
+#: many training points, and beyond it by the matrix-free operator.
 EXPLICIT_LIMIT = 4096
 
 #: Default row-block height of the streaming protocol
@@ -107,6 +112,12 @@ class QMatrixBase(abc.ABC):
         The LS-SVM *regression* extension reuses the same reduced system
         with real-valued targets; it disables the +/-1 label check.
     """
+
+    #: Which realization this is, reported as ``solver.operator`` in the
+    #: :class:`~repro.telemetry.TrainingReport`. Operators supplied by an
+    #: execution backend keep this default; the report's ``backend``
+    #: field names the backend.
+    operator_name = "backend"
 
     def __init__(
         self,
@@ -326,6 +337,8 @@ class QMatrixBase(abc.ABC):
 class ExplicitQMatrix(QMatrixBase):
     """Q_tilde held as a dense array; matvec is a single GEMV."""
 
+    operator_name = "explicit"
+
     def __init__(
         self,
         X: np.ndarray,
@@ -513,6 +526,8 @@ class ImplicitQMatrix(QMatrixBase):
         The linear kernel has no tiles and ignores it.
     """
 
+    operator_name = "implicit"
+
     def __init__(
         self,
         X: np.ndarray,
@@ -594,18 +609,25 @@ def build_reduced_system(
     compute_dtype=None,
     shard_rows: Optional[int] = None,
     shard_size: Optional[int] = None,
+    ridge: Optional[np.ndarray] = None,
+    binary_labels: bool = True,
 ) -> Tuple[QMatrixBase, np.ndarray]:
     """Assemble ``(Q_tilde, rhs)`` for the given training data.
 
-    ``implicit=None`` selects automatically: explicit assembly for up to
-    :data:`EXPLICIT_LIMIT` points (a dense solve's memory is then harmless
-    and matvecs are fastest), matrix-free beyond that — the same trade-off
-    that forces the paper's GPU kernels to recompute entries on the fly.
-    When an active memory budget (see :mod:`repro.membudget`) is too small
-    for the dense system, the automatic mode also picks the matrix-free
-    path. ``solver_threads`` / ``tile_cache_mb`` / ``compute_dtype``
-    configure the implicit operator's tile pipeline (ignored for the
-    explicit path).
+    This is the one operator-selection rule every estimator goes through.
+    ``implicit=None`` (and ``True``) builds the matrix-free
+    :class:`ImplicitQMatrix` at every problem size, as the paper's kernels
+    do: the dense assembly costs O(m² d) kernel evaluations up front,
+    while CG needs only a few dozen matvecs, which the linear kernel's
+    two GEMVs and the non-linear kernels' cached tile sweeps deliver
+    without it. ``implicit=False`` builds the dense :class:`ExplicitQMatrix`
+    on request; an active memory budget (see :mod:`repro.membudget`)
+    still refuses it when the dense system does not fit.
+    ``solver_threads`` / ``tile_cache_mb`` / ``compute_dtype`` configure
+    the implicit operator's tile pipeline (ignored for the explicit
+    path). ``ridge`` / ``binary_labels`` pass through to the operator
+    (per-point ridges of the weighted LS-SVM, real-valued targets of
+    the regression extension).
 
     ``X`` may be a row source (:class:`repro.io.chunked.ChunkedDataset` /
     ``ArrayRowSource``) instead of an array; that, or a ``shard_rows`` /
@@ -624,31 +646,27 @@ def build_reduced_system(
             num_shards=shard_rows,
             shard_size=shard_size,
             tile_rows=tile_rows,
+            ridge=ridge,
+            binary_labels=binary_labels,
             solver_threads=solver_threads,
             tile_cache_mb=tile_cache_mb,
             compute_dtype=compute_dtype,
         )
         return q, q.rhs()
-    if implicit is None:
-        m = np.asarray(X).shape[0]
-        implicit = m > EXPLICIT_LIMIT
-        if not implicit:
-            budget = active_memory_budget()
-            dense_bytes = (m - 1) * (m - 1) * np.dtype(param.dtype).itemsize
-            if budget is not None and dense_bytes > budget:
-                implicit = True
-    if implicit:
+    if implicit is False:
+        q = ExplicitQMatrix(X, y, param, ridge=ridge, binary_labels=binary_labels)
+    else:
         q = ImplicitQMatrix(
             X,
             y,
             param,
             tile_rows=tile_rows,
+            ridge=ridge,
+            binary_labels=binary_labels,
             solver_threads=solver_threads,
             tile_cache_mb=tile_cache_mb,
             compute_dtype=compute_dtype,
         )
-    else:
-        q = ExplicitQMatrix(X, y, param)
     return q, q.rhs()
 
 

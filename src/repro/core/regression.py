@@ -29,12 +29,7 @@ from ..types import KernelType
 from .cg import CGResult, conjugate_gradient
 from .estimator import ParamsMixin, apply_config, warn_deprecated_flat_kwargs
 from .incremental import IncrementalEngine
-from .qmatrix import (
-    EXPLICIT_LIMIT,
-    ExplicitQMatrix,
-    ImplicitQMatrix,
-    recover_bias_and_alpha,
-)
+from .qmatrix import build_reduced_system, recover_bias_and_alpha
 from .solvers import (
     SolverInfo,
     fit_rff_primal,
@@ -148,11 +143,6 @@ class LSSVR(ParamsMixin):
         X = np.asarray(X, dtype=self.param.dtype)
         if X.ndim != 2:
             raise DataError("training data must be 2-D")
-        # Targets must vary, otherwise the reduced rhs is zero and the model
-        # degenerates to the constant (still valid, but surprising).
-        implicit = self.implicit
-        if implicit is None:
-            implicit = X.shape[0] > EXPLICIT_LIMIT
         self.timings_ = ComponentTimer()
         self._qmat = None
         self._fmap = None
@@ -173,16 +163,17 @@ class LSSVR(ParamsMixin):
                         )
                     self._fmap = fmap
                     alpha = weights
+                    operator = "feature_map"
                 else:
                     with self.timings_.section("assembly"), ctx.span("assembly"):
-                        if implicit:
-                            qmat = ImplicitQMatrix(
-                                X, y, self.param, binary_labels=False
-                            )
-                        else:
-                            qmat = ExplicitQMatrix(
-                                X, y, self.param, binary_labels=False
-                            )
+                        qmat, _ = build_reduced_system(
+                            X,
+                            y,
+                            self.param,
+                            implicit=self.implicit,
+                            binary_labels=False,
+                        )
+                    operator = qmat.operator_name
                     with self.timings_.section("cg"):
                         if self.solver == "nystrom":
                             result, info = solve_nystrom(
@@ -230,6 +221,7 @@ class LSSVR(ParamsMixin):
             solver_rank=info.rank,
             solver_setup_seconds=info.setup_seconds,
             warm_start_iterations=warm_iterations,
+            solver_operator=operator,
         )
         self.result_ = result
         self._alpha = alpha
@@ -301,6 +293,7 @@ class LSSVR(ParamsMixin):
             timings=self.timings_,
             result=res.result,
             warm_start_iterations=res.warm_start_iterations,
+            solver_operator=res.qmat.operator_name,
         )
         return self
 

@@ -77,6 +77,8 @@ class RowShardedQMatrix(QMatrixBase):
         Mixed-precision tile evaluation, as in ``ImplicitQMatrix``.
     """
 
+    operator_name = "row_sharded"
+
     def __init__(
         self,
         data,

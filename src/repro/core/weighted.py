@@ -29,7 +29,7 @@ from ..types import KernelType
 from .cg import conjugate_gradient
 from .lssvm import encode_labels
 from .model import LSSVMModel
-from .qmatrix import EXPLICIT_LIMIT, ExplicitQMatrix, ImplicitQMatrix, recover_bias_and_alpha
+from .qmatrix import build_reduced_system, recover_bias_and_alpha
 
 __all__ = ["WeightedLSSVC", "hampel_weights"]
 
@@ -104,13 +104,11 @@ class WeightedLSSVC:
         self.weights_: Optional[np.ndarray] = None
 
     def _solve(self, X: np.ndarray, y_enc: np.ndarray, ridge: Optional[np.ndarray]):
-        implicit = self.implicit
-        if implicit is None:
-            implicit = X.shape[0] > EXPLICIT_LIMIT
-        cls = ImplicitQMatrix if implicit else ExplicitQMatrix
-        qmat = cls(X, y_enc, self.param, ridge=ridge)
+        qmat, rhs = build_reduced_system(
+            X, y_enc, self.param, implicit=self.implicit, ridge=ridge
+        )
         result = conjugate_gradient(
-            qmat, qmat.rhs(), epsilon=self.param.epsilon,
+            qmat, rhs, epsilon=self.param.epsilon,
             warn_on_no_convergence=False,
         )
         alpha, bias = recover_bias_and_alpha(qmat, result.x)

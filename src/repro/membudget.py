@@ -5,9 +5,12 @@ byte budget (``LSSVC(memory_budget_mb=...)`` / ``plssvm-train
 --memory-budget-mb``).  Two small pieces make that promise enforceable:
 
 * an *active budget* — a context-scoped byte limit that allocation-heavy
-  code paths (``ExplicitQMatrix``, :func:`repro.core.qmatrix.build_reduced_system`,
-  :class:`repro.io.chunked.ChunkedDataset`) consult before materializing
-  large arrays, and
+  code paths consult before materializing large arrays: the dense
+  ``ExplicitQMatrix`` (built only on request, ``implicit=False``) refuses
+  to exceed it, the incremental engine drops its dense factor for the
+  matrix-free operator, and :class:`repro.io.chunked.ChunkedDataset` sizes
+  its streaming blocks against it (the default reduced system is
+  matrix-free at every size and needs no check), and
 * a *peak-RSS gauge* — ``resource.getrusage`` sampling recorded into the
   telemetry context at phase boundaries and CG checkpoints, so the
   ``TrainingReport`` can prove the budget held for a whole fit.

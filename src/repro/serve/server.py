@@ -139,6 +139,10 @@ class _Handler(BaseHTTPRequestHandler):
 
     server_version = "plssvm-serve/1.0"
     protocol_version = "HTTP/1.1"
+    # Responses leave in two writes (headers, then body). With Nagle on,
+    # the body waits for the client's delayed ACK of the headers — about
+    # 40 ms on every request of a kept-alive connection.
+    disable_nagle_algorithm = True
 
     # -- plumbing -------------------------------------------------------------
 

@@ -31,6 +31,8 @@ class SparseImplicitQMatrix(QMatrixBase):
     :class:`CSRMatrix`.
     """
 
+    operator_name = "sparse_implicit"
+
     def __init__(
         self,
         X: Union[np.ndarray, CSRMatrix],

@@ -51,7 +51,12 @@ __all__ = [
 #: tier: CG iterations spent when the solve started from the previous
 #: model's multipliers instead of zero — 0 for every cold solve); the
 #: incremental refit path also times a ``refit`` phase.
-REPORT_SCHEMA_VERSION = 4
+#: v5: the solver object gained ``operator`` — which reduced-system
+#: realization the solve ran on (``implicit`` / ``explicit`` /
+#: ``row_sharded`` / ``cholesky`` / ``sparse_implicit`` / ``backend``;
+#: ``feature_map`` for the random-feature primal, which has none), so an
+#: operator mis-choice shows in the report without a profiler.
+REPORT_SCHEMA_VERSION = 5
 
 #: Declarative shape of the serialized report: required key -> type spec.
 #: A type spec is a Python type, a tuple of admissible types, or ``list``
@@ -87,6 +92,7 @@ _SOLVER_SCHEMA: Dict[str, object] = {
     "rank": int,
     "setup_seconds": (int, float),
     "warm_start_iterations": int,
+    "operator": str,
 }
 
 #: Counter keys every report must carry (the Fig. 2 / resilience story).
@@ -415,6 +421,7 @@ def build_report(
     solver_rank: int = 0,
     solver_setup_seconds: float = 0.0,
     warm_start_iterations: int = 0,
+    solver_operator: str = "none",
 ) -> TrainingReport:
     """Assemble a :class:`TrainingReport` from a finished fit context.
 
@@ -439,6 +446,10 @@ def build_report(
         CG iterations of a solve that warm-started from a previous
         solution (``partial_fit`` refits, ``warm_start=True`` refits);
         0 for a cold solve.
+    solver_operator:
+        The reduced-system operator the solve ran on — the
+        ``operator_name`` of the :class:`~repro.core.qmatrix.QMatrixBase`
+        realization, or ``feature_map`` for the random-feature primal.
     """
     phases = dict(timings.as_dict()) if timings is not None else {}
     if result is not None:
@@ -454,6 +465,7 @@ def build_report(
     solver["rank"] = int(solver_rank)
     solver["setup_seconds"] = float(solver_setup_seconds)
     solver["warm_start_iterations"] = int(warm_start_iterations)
+    solver["operator"] = str(solver_operator)
     sample_peak_rss(ctx)
     return TrainingReport(
         fit=ctx.name,

@@ -123,7 +123,7 @@ class TestSpecExpansion:
         assert [c.key for c in solver.cells] == [
             "single_vs_block", "tile_cache", "multiclass", "preconditioning",
             "mixed_precision", "randomized_solvers", "incremental_refit",
-            "out_of_core",
+            "out_of_core", "operator_selection",
         ]
         assert solver.config["quick"] is True
         serve = serve_campaign(quick=True)
@@ -134,6 +134,26 @@ class TestSpecExpansion:
         for cell in list(solver.cells) + list(serve.cells):
             assert cell.scenario in available_scenarios()
             assert rules_for_cell(cell.key)
+
+
+class TestOperatorSelectionScenario:
+    def test_default_is_matrix_free_and_loses_no_accuracy(self):
+        from repro.campaign.scenarios import get_scenario
+
+        scenario = get_scenario("operator_selection")
+        result = scenario.run(
+            {"kernels": ["linear", "rbf"], "m_values": [120],
+             "features_values": [3], "reps": 1, "seed": 1}
+        )
+        assert [p["kernel"] for p in result["points"]] == ["linear", "rbf"]
+        for point in result["points"]:
+            assert point["default_operator"] == "implicit"
+            assert point["default_accuracy"] == point["explicit_accuracy"]
+        assert result["worst_accuracy_gap"] == 0.0
+        # Only the timing gate depends on the host; the accuracy gate holds.
+        rules = {rule.metric: rule for rule in scenario.gate}
+        assert lookup_metric(result, rules["worst_accuracy_gap"].path) == 0.0
+        assert rules["worst_time_ratio"].ceiling == 1.2
 
 
 class TestRunnerResume:

@@ -5,10 +5,13 @@ import pytest
 
 from repro import LSSVC
 from repro.backends import KernelConfig, create_backend
+from repro.core.multiclass import OneVsAllLSSVC
+from repro.core.regression import LSSVR
+from repro.core.weighted import WeightedLSSVC
 from repro.core.model import load_model
 from repro.data.sat6 import make_sat6_like
 from repro.data.splits import train_test_split
-from repro.data.synthetic import make_planes
+from repro.data.synthetic import make_multiclass, make_planes
 from repro.io.libsvm_format import read_libsvm_file, write_libsvm_file
 from repro.io.scaling import FeatureScaler
 from repro.smo.libsvm import LibSVMClassifier
@@ -124,17 +127,51 @@ class TestSat6EndToEnd:
 
 
 class TestLargeImplicitPath:
-    def test_training_beyond_explicit_limit_uses_implicit(self):
-        from repro.core.qmatrix import EXPLICIT_LIMIT
-
-        # Force the automatic threshold with a small override via implicit=None
-        # on a problem bigger than the explicit limit would be too slow in CI;
-        # instead verify the switch logic directly around a reduced limit.
+    def test_default_fit_is_matrix_free(self):
         X, y = make_planes(64, 4, rng=24)
-        clf_auto = LSSVC(kernel="linear")
-        clf_auto.fit(X, y)
+        clf_auto = LSSVC(kernel="linear").fit(X, y)
         assert clf_auto.score(X, y) > 0.85
-        assert EXPLICIT_LIMIT > 64  # auto picked the explicit path here
+        assert clf_auto.report_.solver["operator"] == "implicit"
+        clf_dense = LSSVC(kernel="linear", implicit=False).fit(X, y)
+        assert clf_dense.report_.solver["operator"] == "explicit"
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda implicit: LSSVC(
+                kernel="rbf", C=10.0, epsilon=1e-12, implicit=implicit
+            ),
+            lambda implicit: OneVsAllLSSVC(
+                kernel="polynomial", C=1.0, epsilon=1e-12, implicit=implicit
+            ),
+            lambda implicit: LSSVR(
+                kernel="rbf", C=10.0, epsilon=1e-12, implicit=implicit
+            ),
+            lambda implicit: WeightedLSSVC(
+                kernel="linear", C=1.0, epsilon=1e-12, implicit=implicit
+            ),
+        ],
+        ids=["LSSVC", "OneVsAllLSSVC", "LSSVR", "WeightedLSSVC"],
+    )
+    def test_default_matches_explicit(self, make):
+        X, y = make_multiclass(150, 5, num_classes=3, rng=26)
+        est = make(None)
+        if isinstance(est, LSSVR):
+            y = X[:, 0] - 0.5 * X[:, 1] ** 2
+        elif not isinstance(est, OneVsAllLSSVC):
+            y = np.where(y == y[0], 2.0, 7.0)
+        default = est.fit(X, y)
+        dense = make(False).fit(X, y)
+        if hasattr(default, "report_"):
+            assert default.report_.solver["operator"] == "implicit"
+            assert dense.report_.solver["operator"] == "explicit"
+        if isinstance(est, OneVsAllLSSVC):
+            values = default.decision_matrix(X), dense.decision_matrix(X)
+        elif isinstance(est, LSSVR):
+            values = default.predict(X), dense.predict(X)
+        else:
+            values = default.decision_function(X), dense.decision_function(X)
+        np.testing.assert_allclose(values[0], values[1], rtol=0, atol=1e-8)
 
     def test_implicit_path_with_nonlinear_kernel_and_tiling(self):
         X, y = make_planes(200, 16, rng=25)

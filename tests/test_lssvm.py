@@ -44,6 +44,45 @@ class TestLabelEncoding:
         with pytest.raises(DataError):
             encode_labels(np.array([]))
 
+    def test_first_seen_order_not_sort_order(self):
+        # The larger label appears first, deep past the first few points.
+        y = np.array([9.0] * 50 + [-3.0] + [9.0, -3.0] * 20)
+        enc, labels = encode_labels(y)
+        assert labels == (9.0, -3.0)
+        assert all(isinstance(v, float) for v in labels)
+        np.testing.assert_array_equal(enc, np.where(y == 9.0, 1.0, -1.0))
+
+    def test_integer_labels(self):
+        enc, labels = encode_labels(np.array([2, 2, 0, 2]))
+        assert labels == (2.0, 0.0)
+        np.testing.assert_array_equal(enc, [1.0, 1.0, -1.0, 1.0])
+
+    def test_class_count_reported(self):
+        with pytest.raises(DataError, match="got 1"):
+            encode_labels(np.full(7, 4.0))
+        with pytest.raises(DataError, match="got 4"):
+            encode_labels(np.array([1.0, 2.0, 1.0, 3.0, 4.0]))
+
+    @pytest.mark.parametrize(
+        "y",
+        [
+            [1.0, -1.0, np.nan, 1.0],  # would otherwise train labels (1, nan)
+            [1.0, np.nan, -1.0, np.nan],  # NaN != NaN: not a "third class"
+            [np.nan, np.nan],
+            [1.0, -1.0, np.inf],
+        ],
+    )
+    def test_non_finite_labels_rejected(self, y):
+        with pytest.raises(DataError, match="NaN or infinite"):
+            encode_labels(np.array(y))
+
+    def test_fit_rejects_nan_label(self):
+        X, y = make_planes(40, 3, rng=2)
+        y = y.astype(float)
+        y[17] = np.nan
+        with pytest.raises(DataError, match="NaN or infinite"):
+            LSSVC().fit(X, y)
+
 
 class TestFitPredict:
     def test_separable_problem_reaches_high_accuracy(self):

@@ -15,7 +15,8 @@ from repro.core.qmatrix import (
     reduced_rhs,
 )
 from repro.data.synthetic import make_planes
-from repro.exceptions import DataError
+from repro.exceptions import DataError, InvalidParameterError
+from repro.membudget import memory_budget
 from repro.parameter import Parameter
 
 
@@ -133,11 +134,47 @@ class TestValidation:
 
 
 class TestBuildReducedSystem:
-    def test_auto_explicit_below_limit(self, planes_small, linear_param):
+    def test_auto_matrix_free_for_every_kernel(self, planes_small):
         X, y = planes_small
-        q, rhs = build_reduced_system(X, y, linear_param)
+        for kernel in ("linear", "polynomial", "rbf", "sigmoid"):
+            q, rhs = build_reduced_system(X, y, Parameter(kernel=kernel))
+            assert isinstance(q, ImplicitQMatrix), kernel
+            assert q.operator_name == "implicit"
+            assert rhs.shape == (X.shape[0] - 1,)
+
+    def test_explicit_on_request_and_refused_past_budget(
+        self, planes_small, linear_param
+    ):
+        X, y = planes_small
+        q, _ = build_reduced_system(X, y, linear_param, implicit=False)
         assert isinstance(q, ExplicitQMatrix)
-        assert rhs.shape == (X.shape[0] - 1,)
+        assert q.operator_name == "explicit"
+        # The dense (m-1)^2 system of 128 points needs ~126 KiB.
+        with memory_budget(0.01):
+            with pytest.raises(InvalidParameterError, match="memory budget"):
+                build_reduced_system(X, y, linear_param, implicit=False)
+            q, _ = build_reduced_system(X, y, linear_param)
+            assert isinstance(q, ImplicitQMatrix)
+
+    def test_ridge_and_regression_targets_pass_through(self, planes_small, rbf_param):
+        X, y = planes_small
+        ridge = np.linspace(0.5, 2.0, X.shape[0])
+        targets = X[:, 0] * 3.0  # real-valued: would fail the +/-1 check
+        ops = []
+        for implicit in (None, False):
+            q, rhs = build_reduced_system(
+                X, targets, rbf_param, implicit=implicit, ridge=ridge,
+                binary_labels=False,
+            )
+            np.testing.assert_allclose(q.ridge_bar, ridge[:-1])
+            np.testing.assert_allclose(rhs, targets[:-1] - targets[-1])
+            ops.append(q)
+        matrix_free, dense = ops
+        assert isinstance(matrix_free, ImplicitQMatrix)
+        assert isinstance(dense, ExplicitQMatrix)
+        np.testing.assert_allclose(
+            matrix_free.to_dense(), dense.to_dense(), atol=1e-12
+        )
 
     def test_auto_threshold_respected(self):
         assert EXPLICIT_LIMIT >= 1024  # sanity: dense solve stays feasible

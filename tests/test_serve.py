@@ -13,6 +13,7 @@ The load-bearing acceptance checks live here:
 
 from __future__ import annotations
 
+import http.client
 import json
 import threading
 import time
@@ -445,6 +446,31 @@ class TestHTTPServer:
         base, _, _ = http_server
         status, _ = _get(f"{base}/nope")
         assert status == 404
+
+    def test_keep_alive_predict_does_not_stall(self, http_server):
+        # Headers and body leave in two writes; with Nagle on, the body
+        # waits for the client's delayed ACK (~40 ms) on every request of
+        # a kept-alive connection.
+        base, model, X = http_server
+        host, port = base.rsplit("/", 1)[-1].split(":")
+        body = json.dumps({"model": "planes", "row": X[0].tolist()})
+        conn = http.client.HTTPConnection(host, int(port), timeout=10.0)
+        try:
+            latencies = []
+            for _ in range(20):
+                start = time.perf_counter()
+                conn.request(
+                    "POST", "/predict", body,
+                    {"Content-Type": "application/json"},
+                )
+                resp = conn.getresponse()
+                payload = json.loads(resp.read().decode("utf-8"))
+                latencies.append(time.perf_counter() - start)
+                assert resp.status == 200
+                assert payload["predictions"] == [model.predict(X[:1])[0]]
+        finally:
+            conn.close()
+        assert np.median(latencies) < 0.020, latencies
 
 
 class TestRewiredPredictPaths:

@@ -16,6 +16,7 @@ import pytest
 from repro.core.lssvm import LSSVC
 from repro.data.synthetic import make_planes
 from repro.exceptions import TelemetryError
+from repro.parameter import ResourceConfig, SolverConfig
 from repro.parallel.thread_pool import ThreadPool
 from repro.profiling.stats import SolverCounters, reset_solver_counters, solver_counters
 from repro.telemetry import (
@@ -204,6 +205,32 @@ class TestTrainingReport:
             validate_report(bad)
         with pytest.raises(TelemetryError):
             validate_report("{not json")
+
+    def test_report_names_the_operator(self, fitted, planes_small):
+        # v5: which reduced-system realization the solve ran on.
+        assert fitted.report_.solver["operator"] == "implicit"
+        bad = fitted.report_.as_dict()
+        bad["solver"] = dict(bad["solver"])
+        del bad["solver"]["operator"]
+        with pytest.raises(TelemetryError, match="operator"):
+            validate_report(bad)
+        X, y = planes_small
+        for kwargs, operator in (
+            ({"implicit": False}, "explicit"),
+            ({"backend": "openmp"}, "backend"),
+            ({"sparse": True}, "sparse_implicit"),
+            ({"config": SolverConfig(solver="rff")}, "feature_map"),
+        ):
+            kernel = "rbf" if "config" in kwargs else "linear"
+            clf = LSSVC(kernel=kernel, **kwargs).fit(X, y)
+            assert clf.report_.solver["operator"] == operator, kwargs
+            validate_report(clf.report_.as_dict())
+        clf = LSSVC(kernel="rbf", C=10.0)
+        clf.partial_fit(X[:40], y[:40])
+        clf.partial_fit(X[40:], y[40:])
+        assert clf.report_.solver["operator"] == "cholesky"
+        clf = LSSVC(kernel="linear", resources=ResourceConfig(shard_rows=2))
+        assert clf.fit(X, y).report_.solver["operator"] == "row_sharded"
 
     def test_build_report_without_result(self):
         with fit_scope("bare.fit") as ctx:
